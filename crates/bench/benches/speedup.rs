@@ -21,16 +21,23 @@
 //! equality and the global step-budget check assert everywhere.
 //!
 //! Since the bytecode engine landed, the serial baseline *and* the
-//! threaded sweep both run lowered register code; the tree walker is run
-//! once per kernel as the differential oracle (identical output/memory)
-//! and as the throughput reference — serial bytecode must beat it by ≥ 5×
-//! on every kernel (the CI floor; the headline target is ≥ 10×).
+//! threaded sweep both run lowered register code; the tree walker runs
+//! beside them as the differential oracle (identical output/memory) and
+//! as the throughput reference — serial bytecode must beat it by ≥ 5× on
+//! every kernel (the CI floor; the headline target is ≥ 10×).
 //!
-//! Results go to `target/BENCH_E14.json`, including a profile report from
-//! a profiled Threads(2) session so downstream checks can see the
-//! scheduler counters end to end.
+//! Timing is interleaved: after one untimed, verified warm-up run of each
+//! configuration, every round runs tree, serial and Threads(2/4/8) once,
+//! in an order rotated by round, so a slow stretch of a shared host lands
+//! on every configuration alike. Ratios (tree/serial, serial/threaded)
+//! are formed within a round, and gates read the median over rounds;
+//! each median is recorded with its min and max.
+//!
+//! Results go to `target/BENCH_E14.json` (schema v3), including a profile
+//! report from a profiled Threads(2) session so downstream checks can see
+//! the scheduler counters end to end.
 
-use ped_bench::harness::fmt_ns;
+use ped_bench::harness::{fmt_ns, spread};
 use ped_bench::{apply_suite_assertions, parallelize_everything, Table};
 use ped_core::Ped;
 use ped_obs::json::Json;
@@ -39,8 +46,8 @@ use ped_workloads::all_programs;
 
 /// Thread counts swept against the serial baseline.
 const THREADS: [usize; 3] = [2, 4, 8];
-/// Timed repeats per configuration; the loop wall time keeps the minimum.
-const REPEATS: usize = 3;
+/// Timed rounds per kernel; each round runs every configuration once.
+const ROUNDS: usize = 7;
 
 fn vscale_src() -> String {
     let n = 150_000;
@@ -126,31 +133,27 @@ fn parallel_loop_of(src: &str) -> (usize, ped_fortran::StmtId, String) {
     (ui, header, unit.name.clone())
 }
 
-/// Run `src` under `config` `REPEATS` times; checks every repeat against
-/// the expected output and returns the minimum wall time of the profiled
-/// loop `(unit, header)`.
-fn timed_loop_wall(
+/// Run `src` once under `config`, check it against the expected output
+/// and memory, and return the wall time of the profiled loop `key`.
+fn loop_wall(
     label: &str,
     src: &str,
     config: &ExecConfig,
     key: &(String, ped_fortran::StmtId),
-    expect: Option<&(Vec<String>, interp::MemorySnapshot)>,
-) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..REPEATS {
-        let (r, mem) = interp::run_source_with_memory(src, *config)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        if let Some((printed, memory)) = expect {
-            assert_eq!(printed, &r.printed, "{label}: printed output diverged from serial");
-            assert_eq!(memory, &mem, "{label}: final memory diverged from serial");
-        }
-        let ls = r
-            .profile
-            .get(key)
-            .unwrap_or_else(|| panic!("{label}: loop {key:?} missing from profile"));
-        best = best.min(ls.wall_ns.max(1));
-    }
-    best
+    expect: &(Vec<String>, interp::MemorySnapshot),
+) -> f64 {
+    let (r, mem) =
+        interp::run_source_with_memory(src, *config).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(expect.0, r.printed, "{label}: printed output diverged from serial");
+    assert_eq!(expect.1, mem, "{label}: final memory diverged from serial");
+    let ls = r.profile.get(key).unwrap_or_else(|| panic!("{label}: loop {key:?} missing"));
+    ls.wall_ns.max(1) as f64
+}
+
+/// `{median, min, max}` of a sample set.
+fn spread_json(xs: &[f64]) -> Json {
+    let (median, min, max) = spread(xs);
+    Json::obj(vec![("median", Json::Num(median)), ("min", Json::Num(min)), ("max", Json::Num(max))])
 }
 
 fn main() {
@@ -173,52 +176,66 @@ fn main() {
         let (ui, header, unit_name) = parallel_loop_of(src);
         let key = (unit_name, header);
 
-        // Serial baseline (bytecode engine): reference output, memory, and
-        // loop wall time.
+        // Serial bytecode run: the reference output and memory every
+        // configuration, the tree walker included, must reproduce.
         let (serial, serial_mem) = interp::run_source_with_memory(src, ExecConfig::default())
             .unwrap_or_else(|e| panic!("{name} serial: {e}"));
         let expect = (serial.printed.clone(), serial_mem);
-        let serial_wall =
-            timed_loop_wall(&format!("{name}/serial"), src, &ExecConfig::default(), &key, None)
-                .max(serial.profile[&key].wall_ns.max(1));
         let trip = serial.profile[&key].iterations;
 
-        // Tree-walker oracle: identical output and memory, and the serial
-        // throughput reference the bytecode engine is gated against.
-        let tree_cfg = ExecConfig { engine: Engine::Tree, ..ExecConfig::default() };
-        let tree_wall = timed_loop_wall(
-            &format!("{name}/tree"),
-            src,
-            &tree_cfg,
-            &key,
-            Some(&expect),
-        );
-        let ratio = tree_wall as f64 / serial_wall as f64;
+        // Configurations: the tree walker (oracle and throughput
+        // reference), serial bytecode, then each thread count.
+        let mut configs = vec![
+            ("tree".to_string(), ExecConfig { engine: Engine::Tree, ..ExecConfig::default() }),
+            ("serial".to_string(), ExecConfig::default()),
+        ];
+        for &t in &THREADS {
+            configs.push((
+                format!("threads{t}"),
+                ExecConfig {
+                    mode: ParallelMode::Threads(t),
+                    schedule: Schedule::Guided,
+                    ..ExecConfig::default()
+                },
+            ));
+        }
+        let run = |c: usize| {
+            loop_wall(&format!("{name}/{}", configs[c].0), src, &configs[c].1, &key, &expect)
+        };
+        for c in 0..configs.len() {
+            run(c); // warm-up, verified but untimed
+        }
+        let mut walls = vec![Vec::with_capacity(ROUNDS); configs.len()];
+        for round in 0..ROUNDS {
+            for j in 0..configs.len() {
+                let c = (round + j) % configs.len();
+                walls[c].push(run(c));
+            }
+        }
+        let per_round = |num: usize, den: usize| -> Vec<f64> {
+            walls[num].iter().zip(&walls[den]).map(|(n, d)| n / d).collect()
+        };
+        let (tree, serial_ix) = (0, 1);
+        let engine_ratios = per_round(tree, serial_ix);
+        let (ratio, ..) = spread(&engine_ratios);
         min_ratio = min_ratio.min(ratio);
         assert!(
             ratio >= 5.0,
-            "{name}: serial bytecode only {ratio:.1}x over the tree walker (floor is 5x)"
+            "{name}: serial bytecode only {ratio:.1}x over the tree walker (floor is 5x; \
+             median of {ROUNDS} rounds, per-round ratios {engine_ratios:.2?})"
         );
+        let speedups: Vec<Vec<f64>> =
+            (0..THREADS.len()).map(|i| per_round(serial_ix, 2 + i)).collect();
+        let median_wall = |c: usize| spread(&walls[c]).0;
 
         // Predicted speedup on the 4-processor machine model.
         let program = ped_fortran::parse_program(src).expect("kernel parses");
         let predicted =
             ped_perf::Estimator::new(&program, Machine::with_procs(4)).estimate_loop(ui, header).speedup();
 
-        let mut walls = Vec::new();
-        for &t in &THREADS {
-            let config = ExecConfig {
-                mode: ParallelMode::Threads(t),
-                schedule: Schedule::Guided,
-                ..ExecConfig::default()
-            };
-            let wall =
-                timed_loop_wall(&format!("{name}/threads{t}"), src, &config, &key, Some(&expect));
-            walls.push((t, wall));
-        }
-
-        let wall4 = walls.iter().find(|(t, _)| *t == 4).expect("4 is in THREADS").1;
-        let measured = serial_wall as f64 / wall4 as f64;
+        let t_ix = |t: usize| THREADS.iter().position(|&x| x == t).expect("swept thread count");
+        let speedup_t2 = spread(&speedups[t_ix(2)]).0;
+        let measured = spread(&speedups[t_ix(4)]).0;
         // Symmetric over/under-prediction ratio: 1.0 is perfect, and a
         // 49x overprediction scores 49 — not 0.98 as the old
         // |m − p| / p error did.
@@ -239,35 +256,45 @@ fn main() {
             );
         }
 
-        table.row(vec![
+        let mut cells = vec![
             name.to_string(),
             trip.to_string(),
-            fmt_ns(tree_wall as u128),
-            fmt_ns(serial_wall as u128),
+            fmt_ns(median_wall(tree) as u128),
+            fmt_ns(median_wall(serial_ix) as u128),
             format!("{ratio:.1}x"),
-            fmt_ns(walls[0].1 as u128),
-            fmt_ns(walls[1].1 as u128),
-            fmt_ns(walls[2].1 as u128),
+        ];
+        for (i, s) in speedups.iter().enumerate() {
+            cells.push(format!("{} ({:.2}x)", fmt_ns(median_wall(2 + i) as u128), spread(s).0));
+        }
+        cells.extend([
             format!("{measured:.2}x"),
             format!("{predicted:.2}x"),
             format!("{calib:.2}"),
         ]);
+        table.row(cells);
         rows.push(Json::obj(vec![
             ("kernel", Json::str(name)),
             ("trip", Json::int(trip)),
-            ("tree_serial_wall_ns", Json::int(tree_wall)),
-            ("serial_wall_ns", Json::int(serial_wall)),
+            ("tree_serial_wall_ns", Json::int(median_wall(tree) as u64)),
+            ("tree_serial_wall_spread_ns", spread_json(&walls[tree])),
+            ("serial_wall_ns", Json::int(median_wall(serial_ix) as u64)),
+            ("serial_wall_spread_ns", spread_json(&walls[serial_ix])),
             ("engine_throughput_ratio", Json::Num(ratio)),
+            ("engine_throughput_spread", spread_json(&engine_ratios)),
+            ("speedup_t2", Json::Num(speedup_t2)),
             (
                 "threads",
                 Json::Arr(
-                    walls
+                    THREADS
                         .iter()
-                        .map(|&(t, w)| {
+                        .enumerate()
+                        .map(|(i, &t)| {
                             Json::obj(vec![
                                 ("threads", Json::int(t as u64)),
-                                ("wall_ns", Json::int(w)),
-                                ("speedup", Json::Num(serial_wall as f64 / w as f64)),
+                                ("wall_ns", Json::int(median_wall(2 + i) as u64)),
+                                ("wall_spread_ns", spread_json(&walls[2 + i])),
+                                ("speedup", Json::Num(spread(&speedups[i]).0)),
+                                ("speedup_spread", spread_json(&speedups[i])),
                             ])
                         })
                         .collect(),
@@ -348,10 +375,11 @@ fn main() {
 
     let doc = Json::obj(vec![
         ("bench", Json::str("E14")),
-        ("schema_version", Json::int(2)),
+        ("schema_version", Json::int(3)),
         ("engine", Json::str("bytecode")),
         ("min_engine_throughput_ratio", Json::Num(min_ratio)),
         ("cores", Json::int(cores as u64)),
+        ("rounds", Json::int(ROUNDS as u64)),
         ("speedup_asserted", Json::Bool(cores >= 4)),
         ("output_equal", Json::Bool(true)),
         ("budget_enforced", Json::Bool(true)),

@@ -41,6 +41,20 @@ impl Stats {
     }
 }
 
+/// `(median, min, max)` of a sample set, for benches that gate on the
+/// median of interleaved repeats and record its spread. The median of an
+/// even count is the mean of the middle two; an empty set gives NaNs.
+pub fn spread(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let Some((&min, &max)) = v.first().zip(v.last()) else {
+        return (f64::NAN, f64::NAN, f64::NAN);
+    };
+    let mid = v.len() / 2;
+    let median = if v.len() % 2 == 1 { v[mid] } else { (v[mid - 1] + v[mid]) / 2.0 };
+    (median, min, max)
+}
+
 /// Human-readable duration.
 pub fn fmt_ns(ns: u128) -> String {
     if ns >= 1_000_000_000 {
@@ -88,6 +102,13 @@ mod tests {
         assert_eq!(s.samples_ns.len(), 5);
         assert!(s.min_ns() <= s.median_ns());
         assert!(s.median_ns() <= *s.samples_ns.last().unwrap());
+    }
+
+    #[test]
+    fn spread_is_median_min_max() {
+        assert_eq!(spread(&[3.0, 1.0, 2.0]), (2.0, 1.0, 3.0));
+        assert_eq!(spread(&[4.0, 1.0, 2.0, 3.0]), (2.5, 1.0, 4.0));
+        assert!(spread(&[]).0.is_nan());
     }
 
     #[test]

@@ -36,9 +36,10 @@
 
 use crate::interp::{
     const_value, eval_bin, eval_intrinsic, eval_neg, num2, ExecState, Flow, Interp, ParallelMode,
-    RtError,
+    RedBuf, RtError,
 };
 use crate::memory::{ArrayCell, Cell, Frame};
+use crate::pool::IterSpace;
 use crate::value::Value;
 use ped_fortran::ast::Intrinsic;
 use ped_fortran::symbols::Const;
@@ -1902,12 +1903,12 @@ impl<'p> Interp<'p> {
     /// `fb.prologue` since the last slow iteration; on `Err` the caller
     /// flushes the promoted scalars before touching any cell.
     ///
-    /// `red_bufs` receives reduction operands from `RedLog` ops, one
-    /// buffer per `reduction(...)` clause entry — `Some` only in worker
-    /// chunks of a `red_ok` body (serial runs pass `None`; the logs
-    /// would be discarded). A faulting iteration may leave its partial
-    /// operands in the buffers: an erroring parallel loop returns before
-    /// the merge ever replays them.
+    /// `red_logs` receives reduction operands from `RedLog` ops, one
+    /// chunk-owned buffer per `reduction(...)` clause entry — `Some` only
+    /// in worker chunks (serial runs pass `None`; the logs would be
+    /// discarded). A faulting iteration may leave its partial operands in
+    /// the buffers: an erroring parallel loop returns before the merge
+    /// ever folds them.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fast_iter(
         &self,
@@ -1917,7 +1918,7 @@ impl<'p> Interp<'p> {
         state: &mut ExecState<'_>,
         regs: &mut [Value],
         cur: i64,
-        mut red_bufs: Option<&mut [Vec<Value>]>,
+        mut red_logs: Option<&mut [RedBuf]>,
     ) -> Result<(), RtError> {
         debug_assert!(state.granted >= fb.steps);
         state.granted -= fb.steps;
@@ -2031,8 +2032,8 @@ impl<'p> Interp<'p> {
                     }
                 }
                 FastOp::RedLog { red, src } => {
-                    if let Some(bufs) = red_bufs.as_mut() {
-                        bufs[*red as usize].push(fetch(*src, regs, cur));
+                    if let Some(logs) = red_logs.as_mut() {
+                        logs[*red as usize].push(fetch(*src, regs, cur));
                     }
                 }
             }
@@ -2077,7 +2078,7 @@ impl<'p> Interp<'p> {
         iregs: &[i64],
         vals: impl Iterator<Item = i64>,
         done: &mut u64,
-        mut red_bufs: Option<&mut [Vec<Value>]>,
+        mut red_logs: Option<&mut [RedBuf]>,
     ) -> Result<(), (i64, RtError)> {
         #[inline(always)]
         fn ff(o: FOpnd, f: &[f64], cur: i64) -> f64 {
@@ -2164,8 +2165,8 @@ impl<'p> Interp<'p> {
                     }
                     TOp::Neg { dst, src } => fregs[*dst as usize] = -ff(*src, fregs, cur),
                     TOp::RedLog { red, src } => {
-                        if let Some(bufs) = red_bufs.as_mut() {
-                            bufs[*red as usize].push(Value::Real(ff(*src, fregs, cur)));
+                        if let Some(logs) = red_logs.as_mut() {
+                            logs[*red as usize].push_f64(ff(*src, fregs, cur));
                         }
                     }
                 }
@@ -2186,8 +2187,8 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Execute a compiled DO loop: analytic trip count (no value vector on
-    /// the serial path), walker-identical charging, shadow scoping,
+    /// Execute a compiled DO loop: arithmetic iteration space (no value
+    /// vector in any mode), walker-identical charging, shadow scoping,
     /// profiling, and pool dispatch for `PARALLEL DO` under Threads mode.
     fn bexec_do(
         &self,
@@ -2207,14 +2208,8 @@ impl<'p> Interp<'p> {
             Some(r) => regs[r as usize].as_int(),
             None => 1,
         };
-        if step == 0 {
-            return Err(RtError::new("DO step is zero"));
-        }
-        let count: u64 = if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
-            0
-        } else {
-            ((hi as i128 - lo as i128) / step as i128 + 1) as u64
-        };
+        let space = IterSpace::new(lo, hi, step)?;
+        let count = space.count;
 
         let vt0 = state.vtime;
         let wall0 = Instant::now();
@@ -2237,11 +2232,7 @@ impl<'p> Interp<'p> {
             && !state.in_parallel
             && matches!(self.config.mode, ParallelMode::Threads(_))
         {
-            let mut vals = Vec::with_capacity(count as usize);
-            for k in 0..count {
-                vals.push((lo as i128 + k as i128 * step as i128) as i64);
-            }
-            self.run_threads(unit_idx, d, &vals, frame, state, Some(i))?
+            self.run_threads(unit_idx, d, space, frame, state, Some(i))?
         } else {
             let var_cell = self.cell(unit, frame, d.var)?.clone();
             // Straight-line bodies run in fast form when nothing is
@@ -2278,18 +2269,15 @@ impl<'p> Interp<'p> {
                 _ => (Vec::new(), Vec::new()),
             };
             let mut flow = Flow::Normal;
-            let mut last = 0i64;
             // While `promoted`, the body's scalars live in registers; the
             // cells are reconciled (`flush`) at every exit from fast mode
             // so anything that can observe them — a slow iteration, a
             // fault path, the code after the loop — sees exactly what the
             // slow path would have left there.
             let mut promoted = false;
-            // Iteration values advance by wrapping add — identical to the
-            // walker's `(lo + k*step) as i64` truncation at every k.
-            let mut cur = lo;
             let mut k: u64 = 0;
             while k < count {
+                let cur = space.at(k);
                 match &fast {
                     Some((fb, ctx)) if state.granted >= fb.steps => {
                         if let Some(tb) = typed {
@@ -2299,19 +2287,13 @@ impl<'p> Interp<'p> {
                                 tb.prologue(fb, ctx, &mut fregs, &mut iregs);
                                 promoted = true;
                             }
-                            let (c0, s, m) = (cur, step, count - k);
-                            let vals = (0..m)
-                                .map(move |i| c0.wrapping_add(s.wrapping_mul(i as i64)));
+                            let vals = space.values(k, count - k);
                             let mut done = 0u64;
                             let r = self.typed_run(
                                 unit, fb, tb, ctx, state, &mut fregs, &iregs, vals, &mut done,
                                 None,
                             );
-                            if done > 0 {
-                                k += done;
-                                last = c0.wrapping_add(s.wrapping_mul((done - 1) as i64));
-                                cur = last.wrapping_add(s);
-                            }
+                            k += done;
                             if let Err((cf, e)) = r {
                                 tb.flush(fb, ctx, &fregs);
                                 var_cell.store_scalar(Value::Int(cf));
@@ -2319,7 +2301,6 @@ impl<'p> Interp<'p> {
                             }
                             continue;
                         }
-                        last = cur;
                         if !promoted {
                             fb.prologue(ctx, regs);
                             promoted = true;
@@ -2330,10 +2311,8 @@ impl<'p> Interp<'p> {
                             return Err(e);
                         }
                         k += 1;
-                        cur = cur.wrapping_add(step);
                     }
                     _ => {
-                        last = cur;
                         if promoted {
                             if let Some((fb, ctx)) = &fast {
                                 match typed {
@@ -2357,7 +2336,6 @@ impl<'p> Interp<'p> {
                             }
                         }
                         k += 1;
-                        cur = cur.wrapping_add(step);
                     }
                 }
             }
@@ -2369,8 +2347,9 @@ impl<'p> Interp<'p> {
                     }
                 }
             }
+            // The last iteration entered (`k` stops on a RETURN/STOP).
             if fast.is_some() && count > 0 {
-                var_cell.store_scalar(Value::Int(last));
+                var_cell.store_scalar(Value::Int(space.at(k.min(count - 1))));
             }
             flow
         };

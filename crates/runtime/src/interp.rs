@@ -2,7 +2,9 @@
 
 use crate::machine::Machine;
 use crate::memory::{Cell, Frame};
-use crate::pool::{plan_chunks, Chunk, ChunkQueues, Pool, SchedStats, Schedule, StepBudget};
+use crate::pool::{
+    plan_chunks, Chunk, ChunkQueues, IterSpace, Pool, SchedStats, Schedule, StepBudget,
+};
 use crate::shadow::{ShadowChunk, ShadowLog, ShadowRec};
 use crate::value::Value;
 use ped_fortran::ast::Intrinsic;
@@ -230,7 +232,7 @@ struct RaceRec {
 pub(crate) struct LoopJob {
     unit_idx: usize,
     d: ped_fortran::DoLoop,
-    vals: Vec<i64>,
+    space: IterSpace,
     /// The submitting frame; workers overlay private slots on a clone.
     base_frame: Frame,
     info: ped_fortran::ParallelInfo,
@@ -254,9 +256,8 @@ struct ChunkOut {
     steps: u64,
     vtime: f64,
     profile: HashMap<(String, StmtId), LoopStats>,
-    /// Per-iteration reduction contributions:
-    /// `[reduction][iteration-in-chunk]`.
-    red_contribs: Vec<Vec<RedContrib>>,
+    /// The chunk's operand stream per reduction (see [`RedBuf`]).
+    red_logs: Vec<RedBuf>,
     /// Values of the lastprivate cells when the chunk finished.
     lastprivates: Vec<(SymId, Value)>,
     /// Shadow observations (raw events + inner-loop log) of the chunk.
@@ -264,22 +265,91 @@ struct ChunkOut {
     err: Option<RtError>,
 }
 
-/// One iteration's contribution to a reduction variable.
-enum RedContrib {
-    /// Recognized accumulation operands, in execution order. The merge
-    /// replays `cur = cur ⊕ x` per operand, which reproduces the serial
-    /// fold bit-for-bit even when one iteration accumulates several times
-    /// (e.g. an inner serial loop summing into the reduction variable).
-    Ops(Vec<Value>),
-    /// Fallback when some store to the cell was not a recognized
-    /// accumulation: the iteration's whole effect folded from the
-    /// identity. Exact for single accumulations and for min/max (which
-    /// are associative-commutative even in floats).
-    Delta(Value),
+/// One chunk's contribution to one reduction variable: the values the
+/// merge folds into it with `cur = cur ⊕ x`, in iteration order. Per
+/// iteration that is either its recognized accumulation operands in
+/// execution order — which reproduces the serial fold bit-for-bit even
+/// when one iteration accumulates several times (an inner serial loop
+/// summing into the reduction variable, say) — or, when some store to
+/// the cell was not a recognized accumulation, the iteration's whole
+/// effect folded from the identity (exact for single accumulations and
+/// for min/max, which are associative-commutative even in floats).
+///
+/// One buffer per (chunk, reduction), reserved for the chunk's length,
+/// so logging allocates nothing per iteration.
+pub(crate) enum RedBuf {
+    /// The shared variable is REAL/DOUBLE: starting from its Real value,
+    /// every `combine` is f64 arithmetic on `as_real` operands, so the
+    /// operands are stored converted and folded in a plain f64 loop.
+    Real(Vec<f64>),
+    /// Any other variable: operands keep their tags and fold through
+    /// [`combine`] (an INTEGER sum stays in wrapping integer arithmetic
+    /// until a Real operand promotes it, exactly as in serial).
+    Any(Vec<Value>),
+}
+
+/// Largest operand reservation per chunk: a chunk of a loop with an
+/// astronomical trip count (one the step budget will abort) must not
+/// reserve memory in proportion to it.
+const RED_BUF_RESERVE_MAX: usize = 1 << 20;
+
+impl RedBuf {
+    fn new(real: bool, chunk_len: usize) -> RedBuf {
+        let cap = chunk_len.min(RED_BUF_RESERVE_MAX);
+        if real {
+            RedBuf::Real(Vec::with_capacity(cap))
+        } else {
+            RedBuf::Any(Vec::with_capacity(cap))
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, x: Value) {
+        match self {
+            RedBuf::Real(b) => b.push(x.as_real()),
+            RedBuf::Any(b) => b.push(x),
+        }
+    }
+
+    /// Log an operand the typed tier computed as raw f64.
+    #[inline]
+    pub(crate) fn push_f64(&mut self, x: f64) {
+        match self {
+            RedBuf::Real(b) => b.push(x),
+            RedBuf::Any(b) => b.push(Value::Real(x)),
+        }
+    }
+
+    /// `cur ⊕ x₀ ⊕ x₁ …` over the logged operands, left to right.
+    fn fold(&self, op: RedOp, cur: Value) -> Value {
+        match self {
+            RedBuf::Real(xs) => {
+                let mut c = cur.as_real();
+                match op {
+                    RedOp::Sum => xs.iter().for_each(|&x| c += x),
+                    RedOp::Product => xs.iter().for_each(|&x| c *= x),
+                    RedOp::Min => xs.iter().for_each(|&x| c = f64::min(c, x)),
+                    RedOp::Max => xs.iter().for_each(|&x| c = f64::max(c, x)),
+                }
+                Value::Real(c)
+            }
+            RedBuf::Any(xs) => xs.iter().fold(cur, |a, &x| combine(op, a, x)),
+        }
+    }
+}
+
+/// A worker's private accumulator for one `reduction(...)` entry.
+struct RedCell {
+    op: RedOp,
+    /// Declared type: decides the per-iteration identity.
+    ty: Ty,
+    cell: Arc<Cell>,
+    /// The shared variable holds a Real (see [`RedBuf::Real`]).
+    real: bool,
 }
 
 /// A reduction cell observed during chunk execution so accumulation
-/// operands can be logged at their store sites (see [`RedContrib`]).
+/// operands can be logged at their store sites (see [`RedBuf`]).
 pub(crate) struct RedWatch {
     cell: Arc<Cell>,
     op: RedOp,
@@ -466,7 +536,8 @@ impl<'p> Interp<'p> {
         // program has no parallel loop (or isn't in Threads mode) never
         // spawns a thread. When it is built, it is built once and reused
         // by every PARALLEL DO of the run: fork cost per loop is a condvar
-        // wakeup, not nthreads thread spawns.
+        // wakeup, not nthreads thread spawns. This thread is the last
+        // worker, so `workers − 1` helpers are spawned.
         let workers = match self.config.mode {
             ParallelMode::Threads(n) if self.has_parallel_loop() => n.max(1),
             _ => 0,
@@ -476,7 +547,7 @@ impl<'p> Interp<'p> {
         }
         let pool: Pool<LoopJob> = Pool::new(workers);
         std::thread::scope(|scope| {
-            for w in 0..workers {
+            for w in 0..workers - 1 {
                 let pool = &pool;
                 scope.spawn(move || self.worker_main(pool, w));
             }
@@ -589,10 +660,14 @@ impl<'p> Interp<'p> {
         }
         let mut red_cells = Vec::with_capacity(job.info.reductions.len());
         for &(op, s) in &job.info.reductions {
+            // The merge folds into the shared cell, whose type (not the
+            // declared one — a dummy may alias another type's cell)
+            // decides the operand buffer's form.
+            let real = fr.get(s).is_some_and(|c| matches!(c.load_scalar(), Value::Real(_)));
             let ty = unit.symbols.sym(s).ty;
             let c = Cell::scalar(ty);
             fr.bind(s, c.clone());
-            red_cells.push((op, ty, c));
+            red_cells.push(RedCell { op, ty, cell: c, real });
         }
         let last_cells: Vec<(SymId, Arc<Cell>)> = job
             .info
@@ -617,7 +692,7 @@ impl<'p> Interp<'p> {
         worker: usize,
         fr: &Frame,
         var_cell: &Arc<Cell>,
-        red_cells: &[(RedOp, Ty, Arc<Cell>)],
+        red_cells: &[RedCell],
         last_cells: &[(SymId, Arc<Cell>)],
     ) -> ChunkOut {
         let mut st = ExecState::new(job.budget.clone());
@@ -634,17 +709,17 @@ impl<'p> Interp<'p> {
                     excluded.insert(Arc::as_ptr(c) as usize);
                 }
             }
-            for (_, _, c) in red_cells {
-                excluded.insert(Arc::as_ptr(c) as usize);
+            for r in red_cells {
+                excluded.insert(Arc::as_ptr(&r.cell) as usize);
             }
             st.shadow = Some(Box::new(ShadowRec::tapped(excluded)));
         }
         st.red_watch = red_cells
             .iter()
-            .map(|(op, _, c)| RedWatch { cell: c.clone(), op: *op, log: Vec::new(), clean: true })
+            .map(|r| RedWatch { cell: r.cell.clone(), op: r.op, log: Vec::new(), clean: true })
             .collect();
-        let mut red_contribs: Vec<Vec<RedContrib>> =
-            red_cells.iter().map(|_| Vec::with_capacity(chunk.len)).collect();
+        let mut red_logs: Vec<RedBuf> =
+            red_cells.iter().map(|r| RedBuf::new(r.real, chunk.len)).collect();
         // Bytecode jobs carry the compiled body: workers execute register
         // code, not an AST walk. The register file is reused across the
         // chunk's iterations.
@@ -657,8 +732,8 @@ impl<'p> Interp<'p> {
         // in bulk, the iteration variable kept in flight with the cell
         // updated at chunk end. Reduction loops qualify only when every
         // accumulator store was recognized at compile time (`red_ok`):
-        // spliced `RedLog` ops then record the accumulation operands
-        // into per-worker buffers — the same operand stream `red_assign`
+        // spliced `RedLog` ops then append the accumulation operands to
+        // the chunk's `red_logs` — the same operand stream `red_assign`
         // would have logged — so the merge's serial-fold replay stays
         // bit-identical without a per-store slow-path escape.
         let unit_ref = &self.program.units[job.unit_idx];
@@ -670,12 +745,6 @@ impl<'p> Interp<'p> {
             }
             _ => None,
         };
-        // Operand buffers RedLog ops append to during fast iterations;
-        // flushed into `red_contribs` as one `Ops` run whenever the slow
-        // path takes over (and once at chunk end), preserving global
-        // iteration order across fast/slow transitions.
-        let log_red = fast.is_some() && !red_cells.is_empty();
-        let mut red_bufs: Vec<Vec<Value>> = red_cells.iter().map(|_| Vec::new()).collect();
         let nregs = fast
             .as_ref()
             .map_or(cbody.map_or(0, |(_, n, _)| n), |(fb, _)| fb.nregs.max(cbody.unwrap().1));
@@ -704,12 +773,11 @@ impl<'p> Interp<'p> {
                         tb.prologue(fb, ctx, &mut fregs, &mut iregs);
                         promoted = true;
                     }
-                    let vals =
-                        job.vals[chunk.start + k..chunk.start + chunk.len].iter().copied();
+                    let vals = job.space.values((chunk.start + k) as u64, (chunk.len - k) as u64);
                     let mut done = 0u64;
                     let r = self.typed_run(
                         unit_ref, fb, tb, ctx, &mut st, &mut fregs, &iregs, vals, &mut done,
-                        if log_red { Some(&mut red_bufs[..]) } else { None },
+                        Some(&mut red_logs[..]),
                     );
                     k += done as usize;
                     iters += done;
@@ -722,7 +790,7 @@ impl<'p> Interp<'p> {
                     continue;
                 }
             }
-            let cur = job.vals[chunk.start + k];
+            let cur = job.space.at((chunk.start + k) as u64);
             let ran_fast = match &fast {
                 // (typed bodies never reach here: the burst above covers
                 // every grant-covered iteration, and a short grant routes
@@ -732,9 +800,8 @@ impl<'p> Interp<'p> {
                         fb.prologue(ctx, &mut regs);
                         promoted = true;
                     }
-                    let bufs = if log_red { Some(&mut red_bufs[..]) } else { None };
-                    if let Err(e) =
-                        self.fast_iter(unit_ref, fb, ctx, &mut st, &mut regs, cur, bufs)
+                    let logs = Some(&mut red_logs[..]);
+                    if let Err(e) = self.fast_iter(unit_ref, fb, ctx, &mut st, &mut regs, cur, logs)
                     {
                         fb.flush(ctx, &regs);
                         var_cell.store_scalar(Value::Int(cur));
@@ -755,10 +822,6 @@ impl<'p> Interp<'p> {
                     }
                     promoted = false;
                 }
-                // Operands logged by preceding fast iterations land as one
-                // `Ops` run before this slow iteration's contribution —
-                // the merge's flattened fold preserves iteration order.
-                flush_red(&mut red_bufs, &mut red_contribs);
                 // Each slow iteration accumulates into a fresh identity
                 // while the store sites log the actual operands (see
                 // `red_assign`). The merge replays operands — or, when a
@@ -770,8 +833,8 @@ impl<'p> Interp<'p> {
                 // the promoted flush above may have parked a meaningless
                 // accumulated register value in the cell, and the re-seed
                 // restores the slow path's invariant.)
-                for (op, ty, c) in red_cells {
-                    c.store_scalar(red_identity(*op, *ty));
+                for r in red_cells {
+                    r.cell.store_scalar(red_identity(r.op, r.ty));
                 }
                 for w in &mut st.red_watch {
                     w.log.clear();
@@ -805,23 +868,20 @@ impl<'p> Interp<'p> {
                         break;
                     }
                 }
-                for (i, (_, _, c)) in red_cells.iter().enumerate() {
-                    let w = &mut st.red_watch[i];
-                    red_contribs[i].push(if w.clean {
-                        RedContrib::Ops(std::mem::take(&mut w.log))
+                for ((r, w), log) in red_cells.iter().zip(&st.red_watch).zip(&mut red_logs) {
+                    if w.clean {
+                        w.log.iter().for_each(|&x| log.push(x));
                     } else {
-                        RedContrib::Delta(c.load_scalar())
-                    });
+                        log.push(r.cell.load_scalar());
+                    }
                 }
             }
             iters += 1;
             k += 1;
         }
-        // Trailing fast iterations' operands (no slow iteration followed
-        // to flush them). Faulted chunks may flush partial logs too —
-        // harmless, since an erroring run returns before the merge ever
-        // replays contributions.
-        flush_red(&mut red_bufs, &mut red_contribs);
+        // (A faulted chunk may leave a partial iteration's operands in
+        // `red_logs` — harmless, since an erroring run returns before the
+        // merge ever folds them.)
         if promoted {
             // Reconcile promoted scalars before anything can look at the
             // worker's cells (the lastprivate capture below reads them).
@@ -836,7 +896,7 @@ impl<'p> Interp<'p> {
             // Fast iterations keep the loop variable in flight; land the
             // last executed value in the worker's cell (what a slow chunk
             // would have left there). Fault paths already stored theirs.
-            var_cell.store_scalar(Value::Int(job.vals[chunk.start + iters as usize - 1]));
+            var_cell.store_scalar(Value::Int(job.space.at(chunk.start as u64 + iters - 1)));
         }
         st.release_grant();
         // Capture lastprivate values now — the cells are reused by this
@@ -850,7 +910,7 @@ impl<'p> Interp<'p> {
             steps: st.steps,
             vtime: st.vtime,
             profile: st.profile,
-            red_contribs,
+            red_logs,
             lastprivates,
             shadow: st.shadow.take().map(|sh| sh.into_chunk()),
             err,
@@ -1017,37 +1077,21 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Values the loop variable takes, computed once at entry (F77 rules).
-    fn iteration_values(
+    /// The loop's iteration space, evaluated once at entry (F77 rules).
+    fn iteration_space(
         &self,
         unit_idx: usize,
         d: &ped_fortran::DoLoop,
         frame: &Frame,
         state: &mut ExecState<'_>,
-    ) -> Result<Vec<i64>, RtError> {
+    ) -> Result<IterSpace, RtError> {
         let lo = self.eval(unit_idx, &d.lo, frame, state)?.as_int();
         let hi = self.eval(unit_idx, &d.hi, frame, state)?.as_int();
         let step = match &d.step {
             None => 1,
             Some(e) => self.eval(unit_idx, e, frame, state)?.as_int(),
         };
-        if step == 0 {
-            return Err(RtError::new("DO step is zero"));
-        }
-        let mut vals = Vec::new();
-        let mut x = lo;
-        if step > 0 {
-            while x <= hi {
-                vals.push(x);
-                x += step;
-            }
-        } else {
-            while x >= hi {
-                vals.push(x);
-                x += step;
-            }
-        }
-        Ok(vals)
+        IterSpace::new(lo, hi, step)
     }
 
     fn exec_do(
@@ -1059,7 +1103,7 @@ impl<'p> Interp<'p> {
     ) -> Result<Flow, RtError> {
         let unit = &self.program.units[unit_idx];
         let d = unit.loop_of(sid).clone();
-        let vals = self.iteration_values(unit_idx, &d, frame, state)?;
+        let space = self.iteration_space(unit_idx, &d, frame, state)?;
         let vt0 = state.vtime;
         let wall0 = Instant::now();
         let key = (unit.name.clone(), sid);
@@ -1084,27 +1128,25 @@ impl<'p> Interp<'p> {
 
         let flow = if d.is_parallel() && !state.in_parallel {
             match self.config.mode {
-                ParallelMode::Serial => self.run_serial(unit_idx, &d, &vals, frame, state)?,
+                ParallelMode::Serial => self.run_serial(unit_idx, &d, space, frame, state)?,
                 ParallelMode::Simulate(machine) => {
-                    self.run_simulated(unit_idx, sid, &d, &vals, frame, state, machine)?
+                    self.run_simulated(unit_idx, sid, &d, space, frame, state, machine)?
                 }
                 ParallelMode::Threads(_) => {
-                    self.run_threads(unit_idx, &d, &vals, frame, state, None)?
+                    self.run_threads(unit_idx, &d, space, frame, state, None)?
                 }
             }
         } else {
-            self.run_serial(unit_idx, &d, &vals, frame, state)?
+            self.run_serial(unit_idx, &d, space, frame, state)?
         };
 
         if let Some(sh) = state.shadow.as_deref_mut() {
             let prog = self.program;
-            sh.pop_scope(&unit.name, vals.len() as u64, |u, s| {
-                prog.units[u].symbols.name(s).to_string()
-            });
+            sh.pop_scope(&unit.name, space.count, |u, s| prog.units[u].symbols.name(s).to_string());
         }
         let entry = state.profile.entry(key).or_default();
         entry.invocations += 1;
-        entry.iterations += vals.len() as u64;
+        entry.iterations += space.count;
         entry.ops += state.vtime - vt0;
         entry.wall_ns += wall0.elapsed().as_nanos() as u64;
         Ok(flow)
@@ -1114,13 +1156,13 @@ impl<'p> Interp<'p> {
         &self,
         unit_idx: usize,
         d: &ped_fortran::DoLoop,
-        vals: &[i64],
+        space: IterSpace,
         frame: &Frame,
         state: &mut ExecState<'_>,
     ) -> Result<Flow, RtError> {
         let unit = &self.program.units[unit_idx];
         let var_cell = self.cell(unit, frame, d.var)?.clone();
-        for (k, &v) in vals.iter().enumerate() {
+        for (k, v) in space.values(0, space.count).enumerate() {
             if let Some(sh) = state.shadow.as_deref_mut() {
                 sh.set_iter(k as u64);
             }
@@ -1141,7 +1183,7 @@ impl<'p> Interp<'p> {
         unit_idx: usize,
         sid: StmtId,
         d: &ped_fortran::DoLoop,
-        vals: &[i64],
+        space: IterSpace,
         frame: &Frame,
         state: &mut ExecState<'_>,
         machine: Machine,
@@ -1174,10 +1216,12 @@ impl<'p> Interp<'p> {
             });
         }
         let vt0 = state.vtime;
-        let mut iter_costs = Vec::with_capacity(vals.len());
+        // Grows with the iterations actually run: a trip count the step
+        // budget is about to abort must not be reserved up front.
+        let mut iter_costs = Vec::new();
         let mut flow = Flow::Normal;
         state.in_parallel = true;
-        for (k, &v) in vals.iter().enumerate() {
+        for (k, v) in space.values(0, space.count).enumerate() {
             if let Some(rec) = state.rec.as_mut() {
                 rec.iter = k as u64;
             }
@@ -1241,7 +1285,7 @@ impl<'p> Interp<'p> {
         &self,
         unit_idx: usize,
         d: &ped_fortran::DoLoop,
-        vals: &[i64],
+        space: IterSpace,
         frame: &Frame,
         state: &mut ExecState<'_>,
         cdo: Option<u32>,
@@ -1249,17 +1293,17 @@ impl<'p> Interp<'p> {
         let unit = &self.program.units[unit_idx];
         let Some(pool) = state.pool else {
             // No pool for this run (defensive): reference semantics.
-            return self.run_serial(unit_idx, d, vals, frame, state);
+            return self.run_serial(unit_idx, d, space, frame, state);
         };
-        if vals.is_empty() {
+        let Some(last) = space.last() else {
             return Ok(Flow::Normal);
-        }
+        };
         let n = pool.workers();
-        let chunks = plan_chunks(self.config.schedule, vals.len(), n);
+        let chunks = plan_chunks(self.config.schedule, space.count as usize, n);
         let job = Arc::new(LoopJob {
             unit_idx,
             d: d.clone(),
-            vals: vals.to_vec(),
+            space,
             base_frame: frame.clone(),
             info: d.parallel.clone().unwrap_or_default(),
             budget: state.budget.clone(),
@@ -1268,7 +1312,7 @@ impl<'p> Interp<'p> {
             outs: Mutex::new(Vec::with_capacity(chunks.len())),
             cdo,
         });
-        pool.run_job(job.clone());
+        pool.run_job(job.clone(), |j| self.run_job_chunks(j, n - 1));
 
         let mut outs = std::mem::take(&mut *job.outs.lock().unwrap());
         outs.sort_by_key(|o| o.start);
@@ -1319,24 +1363,12 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        // Reductions: replay each iteration's logged accumulation operands
-        // (or its fallback delta) in global iteration order — exactly the
-        // serial fold, bit for bit.
+        // Reductions: fold each chunk's logged operands (and fallback
+        // deltas) in global iteration order — exactly the serial fold,
+        // bit for bit.
         for (ri, &(op, s)) in job.info.reductions.iter().enumerate() {
             let cell = self.cell(unit, frame, s)?;
-            let mut cur = cell.load_scalar();
-            for o in &outs {
-                for contrib in &o.red_contribs[ri] {
-                    match contrib {
-                        RedContrib::Ops(xs) => {
-                            for &x in xs {
-                                cur = combine(op, cur, x);
-                            }
-                        }
-                        RedContrib::Delta(d) => cur = combine(op, cur, *d),
-                    }
-                }
-            }
+            let cur = outs.iter().fold(cell.load_scalar(), |cur, o| o.red_logs[ri].fold(op, cur));
             cell.store_scalar(cur);
         }
         // Lastprivate: the chunk containing the final iteration.
@@ -1347,9 +1379,7 @@ impl<'p> Interp<'p> {
         }
         // The loop variable's final value: the serial interpreter leaves
         // it at the last executed iteration value, so match that exactly.
-        if let Some(&last) = vals.last() {
-            self.cell(unit, frame, d.var)?.store_scalar(Value::Int(last));
-        }
+        self.cell(unit, frame, d.var)?.store_scalar(Value::Int(last));
         Ok(Flow::Normal)
     }
 
@@ -1693,17 +1723,6 @@ fn combine(op: RedOp, a: Value, b: Value) -> Value {
         RedOp::Product => num2(a, b, |x, y| x * y, |x, y| x * y),
         RedOp::Min => num2(a, b, i64::min, f64::min),
         RedOp::Max => num2(a, b, i64::max, f64::max),
-    }
-}
-
-/// Drain fast-path reduction operand buffers into the chunk's ordered
-/// contribution lists: each non-empty buffer becomes one `Ops` run,
-/// exactly as if `red_assign` had logged the same operands.
-fn flush_red(bufs: &mut [Vec<Value>], contribs: &mut [Vec<RedContrib>]) {
-    for (b, c) in bufs.iter_mut().zip(contribs.iter_mut()) {
-        if !b.is_empty() {
-            c.push(RedContrib::Ops(std::mem::take(b)));
-        }
     }
 }
 
@@ -2458,5 +2477,132 @@ mod tests {
         );
         let inner = log.loops.values().find(|l| l.invocations == 6).unwrap();
         assert!(inner.carried.contains_key(&("i".to_string(), ObsKind::Output)));
+    }
+
+    /// Every engine × mode pairing the regression tests below sweep:
+    /// Simulate pins the tree walker, so it appears once.
+    fn engines_and_modes() -> Vec<ExecConfig> {
+        let mut out = Vec::new();
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            for mode in [ParallelMode::Serial, ParallelMode::Threads(2)] {
+                out.push(ExecConfig { engine, mode, ..ExecConfig::default() });
+            }
+        }
+        out.push(ExecConfig {
+            mode: ParallelMode::Simulate(Machine::with_procs(2)),
+            ..ExecConfig::default()
+        });
+        out
+    }
+
+    #[test]
+    fn do_bound_at_i64_max_same_in_every_engine_and_mode() {
+        // The last value is i64::MAX: stepping past it must not overflow
+        // (the walker once panicked here in debug builds and would loop
+        // forever in release), and the variable keeps the last value.
+        let src = "program t\ninteger n, m\nn = 0\nm = 0\n\
+                   do i = 9223372036854775806, 9223372036854775807\nn = n + 1\nenddo\n\
+                   print *, n, i\n\
+                   parallel do j = 9223372036854775805, 9223372036854775807 reduction(+:m)\n\
+                   m = m + 1\nenddo\n\
+                   print *, m, j\nend\n";
+        let want = vec!["2 9223372036854775807".to_string(), "3 9223372036854775807".to_string()];
+        for cfg in engines_and_modes() {
+            let (r, mem) = run_source_with_memory(src, cfg).unwrap();
+            assert_eq!(r.printed, want, "{:?} {:?}", cfg.engine, cfg.mode);
+            let (_, ref_mem) = run_source_with_memory(src, ExecConfig::default()).unwrap();
+            assert_eq!(mem, ref_mem, "{:?} {:?}", cfg.engine, cfg.mode);
+        }
+    }
+
+    #[test]
+    fn huge_trip_do_hits_step_limit_in_every_engine_and_mode() {
+        // Two billion trips under a 10k-step cap: every engine and mode
+        // must abort at the cap without first reserving memory in
+        // proportion to the trip count (value vectors, per-iteration cost
+        // vectors, operand buffers).
+        let serial = "program t\nreal a(4)\ndo i = 1, 2000000000\na(1) = a(1) + 1.0\nenddo\nend\n";
+        let par = "program t\nreal s\ns = 0.0\n\
+                   parallel do i = 1, 2000000000 reduction(+:s)\ns = s + 1.0\nenddo\n\
+                   print *, s\nend\n";
+        for src in [serial, par] {
+            for cfg in engines_and_modes() {
+                for schedule in [Schedule::Static, Schedule::Guided] {
+                    let cfg = ExecConfig { max_steps: 10_000, schedule, ..cfg };
+                    let e = run_source(src, cfg).unwrap_err();
+                    let at = format!("{} {:?}", cfg.engine, cfg.mode);
+                    assert!(e.message.contains("step limit"), "{at}: {e}");
+                    assert!(e.steps <= 10_000, "{} steps executed over the cap", e.steps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_logs_bit_identical_across_threads_schedules_engines() {
+        // Trip counts of 6000 (≥ 4 × BUDGET_BLOCK) put budget-refill slow
+        // iterations between fast runs, so every operand-log form meets
+        // the per-iteration one: the typed tier's raw f64s (REAL sum), the
+        // generic tier's tagged values (REAL product beside an INTEGER
+        // sum), min/max (iteration deltas), and a sum whose store defeats
+        // the accumulation recognizer (delta fallback).
+        let src = "program t\ninteger n\nparameter (n = 6000)\nreal a(n), b(n)\n\
+                   real s, p, m, x, d\ninteger k\n\
+                   do i = 1, n\na(i) = 0.001 * i\nb(i) = 1.0 / i\nenddo\n\
+                   s = 0.5\n\
+                   parallel do i = 1, n reduction(+:s)\ns = s + a(i) * a(i)\nenddo\n\
+                   p = 1.0\nk = 3\n\
+                   parallel do i = 1, n reduction(*:p) reduction(+:k)\n\
+                   p = p * (1.0 + a(i) * 0.0001)\nk = k + i * 3\nenddo\n\
+                   m = 1000000.0\nx = -1000000.0\n\
+                   parallel do i = 1, n reduction(min:m) reduction(max:x)\n\
+                   m = min(m, a(i) - b(i))\nx = max(x, a(i) * b(i) + a(i))\nenddo\n\
+                   d = 0.25\n\
+                   parallel do i = 1, n reduction(+:d)\nd = (d + a(i) * a(i)) * 1.0\nenddo\n\
+                   print *, s, p, k, m, x, d\nend\n";
+        const _: () = assert!(6000 >= 4 * crate::pool::BUDGET_BLOCK);
+        let tree = ExecConfig { engine: Engine::Tree, ..ExecConfig::default() };
+        let want = run_source_with_memory(src, tree).unwrap();
+        let (r, mem) = run_source_with_memory(src, ExecConfig::default()).unwrap();
+        assert_eq!((&r.printed, &mem), (&want.0.printed, &want.1), "bytecode serial vs tree");
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            for k in [2usize, 4] {
+                for schedule in [Schedule::Static, Schedule::Dynamic(3), Schedule::Guided] {
+                    let cfg = ExecConfig {
+                        engine,
+                        mode: ParallelMode::Threads(k),
+                        schedule,
+                        ..ExecConfig::default()
+                    };
+                    let (r, mem) = run_source_with_memory(src, cfg).unwrap();
+                    let at = format!("{engine} threads={k} schedule={schedule}");
+                    assert_eq!(r.printed, want.0.printed, "{at}");
+                    assert_eq!(mem, want.1, "{at}: final memory");
+                    assert_eq!(r.sched.parallel_loops, 4, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_trip_and_negative_step_parallel_do_match_serial() {
+        // A zero-trip loop leaves the variable and the lastprivate cell
+        // untouched; a negative step ends on the last value it reached.
+        let src = "program t\nreal a(100)\nreal t\ninteger last\n\
+                   i = 77\nt = -1.0\nlast = -5\n\
+                   parallel do i = 5, 4 lastprivate(t, last)\nt = i * 1.0\nlast = i\nenddo\n\
+                   print *, i, t, last\n\
+                   parallel do i = 100, 1, -3 lastprivate(t, last)\n\
+                   a(i) = i * 0.5\nt = a(i) + 1.0\nlast = i\nenddo\n\
+                   print *, i, t, last\nend\n";
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let serial = ExecConfig { engine, ..ExecConfig::default() };
+            let (rs, ms) = run_source_with_memory(src, serial).unwrap();
+            assert_eq!(rs.printed, vec!["77 -1.0 -5", "1 1.5 1"], "{engine}");
+            let threads = ExecConfig { mode: ParallelMode::Threads(2), ..serial };
+            let (rt, mt) = run_source_with_memory(src, threads).unwrap();
+            assert_eq!(rt.printed, rs.printed, "{engine}");
+            assert_eq!(mt, ms, "{engine}: final memory");
+        }
     }
 }

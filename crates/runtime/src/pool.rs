@@ -12,7 +12,8 @@
 //!   (owners pop from the front, thieves from the back);
 //! * [`Pool`] — a set of workers created once per run and reused by every
 //!   `PARALLEL DO`, so fork cost is a condvar wakeup rather than a
-//!   `thread::spawn` per loop;
+//!   `thread::spawn` per loop; the submitting thread is one of the
+//!   workers, so `Threads(n)` spawns `n − 1` helpers;
 //! * [`StepBudget`] — one shared atomic statement budget, so the global
 //!   `max_steps` runaway guard holds across all workers combined;
 //! * [`SchedStats`] — chunk/steal/iteration counters surfaced through the
@@ -88,12 +89,62 @@ impl std::fmt::Display for Schedule {
 /// Chunk size used for a bare `dynamic` spec.
 pub const DEFAULT_DYNAMIC_CHUNK: usize = 16;
 
+/// A DO loop's iteration space in arithmetic form: iteration `k` (for
+/// `k < count`) binds the loop variable to `lo + k·step`, wrapping in two's
+/// complement. Both engines and every execution mode walk this instead of
+/// materializing the values, so a loop's memory never scales with its
+/// trip count and a loop ending at `i64::MAX` never steps past it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IterSpace {
+    lo: i64,
+    step: i64,
+    /// Number of iterations.
+    pub(crate) count: u64,
+}
+
+impl IterSpace {
+    /// The F77 trip count of `do v = lo, hi, step`, computed in `i128` so
+    /// no bound can overflow (saturating at `u64::MAX` for the one span,
+    /// `i64::MIN..=i64::MAX` by 1, that does not fit).
+    pub(crate) fn new(lo: i64, hi: i64, step: i64) -> Result<IterSpace, crate::interp::RtError> {
+        if step == 0 {
+            return Err(crate::interp::RtError::new("DO step is zero"));
+        }
+        let count = if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
+            0
+        } else {
+            let trips = (hi as i128 - lo as i128) / step as i128 + 1;
+            u64::try_from(trips).unwrap_or(u64::MAX)
+        };
+        Ok(IterSpace { lo, step, count })
+    }
+
+    /// The loop variable's value at iteration `k`.
+    #[inline]
+    pub(crate) fn at(&self, k: u64) -> i64 {
+        self.lo.wrapping_add(self.step.wrapping_mul(k as i64))
+    }
+
+    /// Values of iterations `k..k + n`, in order.
+    #[inline]
+    pub(crate) fn values(&self, k: u64, n: u64) -> impl Iterator<Item = i64> {
+        let (first, step) = (self.at(k), self.step);
+        (0..n).map(move |i| first.wrapping_add(step.wrapping_mul(i as i64)))
+    }
+
+    /// The final iteration's value (what the loop variable holds after
+    /// the loop), if there is any iteration.
+    pub(crate) fn last(&self) -> Option<i64> {
+        self.count.checked_sub(1).map(|k| self.at(k))
+    }
+}
+
 /// A contiguous slice of a loop's iteration space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunk {
     /// Position in the planned chunk sequence (iteration order).
     pub index: usize,
-    /// First iteration (offset into the loop's value vector).
+    /// First iteration (offset into the loop's [`IterSpace`]).
     pub start: usize,
     /// Number of iterations.
     pub len: usize,
@@ -283,11 +334,15 @@ struct PoolState<J> {
     shutdown: bool,
 }
 
-/// A persistent pool of `n` workers driven by a job slot. The submitter
-/// publishes one job at a time ([`Pool::run_job`]) and blocks until every
-/// worker has finished it; workers loop on [`Pool::next_job`] /
-/// [`Pool::finish_job`] until [`Pool::shutdown`]. Thread handles are owned
-/// by the caller (scoped threads), which keeps the pool free of lifetime
+/// A persistent pool of `n` workers driven by a job slot: the submitting
+/// thread plus `n − 1` helper threads. The submitter publishes one job at
+/// a time ([`Pool::run_job`]), works its own share, then blocks until
+/// every helper has finished; helpers loop on [`Pool::next_job`] /
+/// [`Pool::finish_job`] until [`Pool::shutdown`]. Working instead of
+/// sleeping keeps the submitter's core busy, so the woken helpers are
+/// placed on the others rather than queued behind each other on the
+/// core the submitter was about to free. Thread handles are owned by the
+/// caller (scoped threads), which keeps the pool free of lifetime
 /// juggling: the job type `J` carries whatever owned payload a loop needs.
 pub struct Pool<J> {
     workers: usize,
@@ -297,7 +352,8 @@ pub struct Pool<J> {
 }
 
 impl<J> Pool<J> {
-    /// A pool slot for `workers` workers (the caller spawns the threads).
+    /// A pool slot for `workers` workers: the caller spawns `workers − 1`
+    /// helper threads and is itself the last worker.
     pub fn new(workers: usize) -> Pool<J> {
         Pool {
             workers: workers.max(1),
@@ -317,13 +373,17 @@ impl<J> Pool<J> {
         self.workers
     }
 
-    /// Publish `job` to every worker and block until all have finished it.
-    pub fn run_job(&self, job: std::sync::Arc<J>) {
+    /// Publish `job` to the helpers, run the submitter's share `own`, and
+    /// block until every helper has finished the job too.
+    pub fn run_job(&self, job: std::sync::Arc<J>, own: impl FnOnce(&J)) {
         let mut st = self.state.lock().unwrap();
-        st.job = Some(job);
+        st.job = Some(job.clone());
         st.generation += 1;
-        st.active = self.workers;
+        st.active = self.workers - 1;
         self.work_cv.notify_all();
+        drop(st);
+        own(&job);
+        let mut st = self.state.lock().expect("a helper panicked holding the pool lock");
         while st.active > 0 {
             st = self.done_cv.wait(st).unwrap();
         }
@@ -379,6 +439,22 @@ mod tests {
             next += c.len;
         }
         assert_eq!(next, total);
+    }
+
+    #[test]
+    fn iter_space_counts_and_values() {
+        let s = |lo, hi, step| IterSpace::new(lo, hi, step).unwrap();
+        assert_eq!(s(1, 10, 1).count, 10);
+        assert_eq!(s(1, 10, 3).values(0, 4).collect::<Vec<_>>(), vec![1, 4, 7, 10]);
+        assert_eq!(s(100, 1, -3).last(), Some(1));
+        assert_eq!(s(5, 4, 3).count, 0);
+        assert_eq!(s(5, 5, -1).count, 1);
+        assert_eq!(s(4, 5, -1).last(), None);
+        let top = s(i64::MAX - 1, i64::MAX, 1);
+        assert_eq!((top.count, top.last()), (2, Some(i64::MAX)));
+        assert_eq!(s(i64::MIN, i64::MAX, 1).count, u64::MAX);
+        assert_eq!(s(i64::MIN, i64::MAX, 2).count, 1 << 63);
+        assert!(IterSpace::new(1, 2, 0).is_err());
     }
 
     #[test]
@@ -482,7 +558,7 @@ mod tests {
         }
         let pool: Pool<CountJob> = Pool::new(3);
         std::thread::scope(|scope| {
-            for _ in 0..3 {
+            for _ in 0..2 {
                 let pool = &pool;
                 scope.spawn(move || {
                     let mut gen = 0u64;
@@ -494,9 +570,12 @@ mod tests {
             }
             for _ in 0..5 {
                 let job = std::sync::Arc::new(CountJob { hits: AtomicUsize::new(0) });
-                pool.run_job(job.clone());
-                // Every worker touched the job exactly once, and run_job
-                // only returned after all of them were done.
+                pool.run_job(job.clone(), |j| {
+                    j.hits.fetch_add(1, Ordering::Relaxed);
+                });
+                // Every worker — the submitter included — touched the job
+                // exactly once, and run_job only returned after all of
+                // them were done.
                 assert_eq!(job.hits.load(Ordering::Relaxed), 3);
             }
             pool.shutdown();
